@@ -28,9 +28,9 @@
 //!    one exactly where the analytic formulas predict (sign agreement
 //!    at every grid point), and the sweep range genuinely exhibits the
 //!    crossover (flat wins at the bottom, hierarchy wins at the top).
-//! 4. **lane/worker invariance** — hierarchical runs are bit-identical
-//!    across lane counts {2, 4, 8} and under the parallel window
-//!    executor, with lanes aligned to topology boundaries.
+//! 4. **lane invariance** — hierarchical runs are deterministic at lane
+//!    counts {2, 4, 8} and agree with the classic engine, with lanes
+//!    aligned to topology boundaries.
 //!
 //! Prints one JSON object to stdout (`--json PATH` writes it to a
 //! file); the table on stderr is for humans. Timing columns are model
@@ -216,7 +216,7 @@ fn check_closure_and_crossover() {
     );
 }
 
-/// Pin 4: lane and worker counts do not change hierarchical results.
+/// Pin 4: lane counts do not change hierarchical results.
 fn check_lane_invariance() {
     let h = machine(100);
     let ht = hier_tree(&h);
@@ -235,13 +235,8 @@ fn check_lane_invariance() {
             (lanes.completion, lanes.value, lanes.messages),
             "classic vs {shards} lanes diverged on the hierarchical all-reduce"
         );
-        let workers = run(SimConfig::default().with_shards(shards).with_workers(2));
-        assert_eq!(
-            lanes.result, workers.result,
-            "parallel executor diverged at {shards} lanes"
-        );
     }
-    eprintln!("check: hierarchical all-reduce invariant across lanes 2/4/8 + workers ... ok");
+    eprintln!("check: hierarchical all-reduce invariant across lanes 2/4/8 ... ok");
 }
 
 fn host_cores() -> usize {

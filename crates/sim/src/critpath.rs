@@ -118,18 +118,6 @@ impl Components {
         self.o + self.g + self.l + self.compute + self.stall + self.barrier + self.wait + self.retry
     }
 
-    /// Component-wise accumulate (used when merging per-lane aggregates).
-    pub(crate) fn accum(&mut self, other: &Components) {
-        self.o += other.o;
-        self.g += other.g;
-        self.l += other.l;
-        self.compute += other.compute;
-        self.stall += other.stall;
-        self.barrier += other.barrier;
-        self.wait += other.wait;
-        self.retry += other.retry;
-    }
-
     pub(crate) fn add(&mut self, kind: StepKind, cycles: Cycles) {
         match kind {
             StepKind::O => self.o += cycles,
@@ -508,12 +496,6 @@ pub struct ObsAggregate {
 /// candidate.
 pub(crate) struct OnlineAgg {
     pub(crate) agg: ObsAggregate,
-    /// First processor this aggregate covers: `spans`, `floors`, and
-    /// `agg.per_proc` are indexed `[p - first]`. `0` for a whole-machine
-    /// aggregate; a lane's range base for the parallel engine's per-lane
-    /// aggregates (merged with [`OnlineAgg::absorb`] at the end of the
-    /// run).
-    first: usize,
     /// Per-processor activity spans, start-ordered, pruned below the
     /// processor's earliest outstanding window start.
     spans: Vec<Vec<Span>>,
@@ -538,67 +520,20 @@ pub(crate) struct OnlineAgg {
 
 impl OnlineAgg {
     pub(crate) fn new(p: usize, grid: Cycles) -> Self {
-        Self::for_range(0, p, grid)
-    }
-
-    /// Aggregate covering processors `[first, first + len)` only. All
-    /// per-lane state is independent of the other lanes': span/floor
-    /// windows are strictly lane-local, and the `cps`/`rc` refcount maps
-    /// are keyed by records whose citing commands run on this lane (a
-    /// cross-lane message's record migrates to the destination lane with
-    /// its cumulative components, so its key is only ever live in one
-    /// aggregate — barrier keys excepted, which every lane receives via
-    /// [`OnlineAgg::on_barrier_external`]).
-    pub(crate) fn for_range(first: usize, len: usize, grid: Cycles) -> Self {
         OnlineAgg {
             agg: ObsAggregate {
-                per_proc: vec![Components::default(); len],
+                per_proc: vec![Components::default(); p],
                 grid,
                 ..Default::default()
             },
-            first,
-            spans: vec![Vec::new(); len],
-            floors: vec![std::collections::BTreeMap::new(); len],
+            spans: vec![Vec::new(); p],
+            floors: vec![std::collections::BTreeMap::new(); p],
             cps: std::collections::HashMap::new(),
             rc: std::collections::HashMap::new(),
             pending_base: Components::default(),
             barrier_bases: std::collections::HashMap::new(),
             best: None,
             scratch: Vec::new(),
-        }
-    }
-
-    /// Index of `p` into the range-local vectors.
-    #[inline]
-    fn pi(&self, p: ProcId) -> usize {
-        p as usize - self.first
-    }
-
-    /// Merge a lane aggregate into this whole-machine one. Activity
-    /// totals and record counts are order-independent sums; `per_proc`
-    /// slots accumulate into this aggregate's disjoint range; the
-    /// terminal candidate is the same `(t, kind, id)` max the serial
-    /// engine would have kept.
-    pub(crate) fn absorb(&mut self, other: OnlineAgg) {
-        self.agg.global.accum(&other.agg.global);
-        for (i, c) in other.agg.per_proc.iter().enumerate() {
-            self.agg.per_proc[other.first + i].accum(c);
-        }
-        if self.agg.bins.len() < other.agg.bins.len() {
-            self.agg
-                .bins
-                .resize(other.agg.bins.len(), Components::default());
-        }
-        for (b, ob) in self.agg.bins.iter_mut().zip(&other.agg.bins) {
-            b.accum(ob);
-        }
-        self.agg.msgs += other.agg.msgs;
-        self.agg.delivered += other.agg.delivered;
-        self.agg.computes += other.agg.computes;
-        self.agg.barriers += other.agg.barriers;
-        self.agg.timers += other.agg.timers;
-        if let Some((t, k, i, cum)) = other.best {
-            self.consider(t, k, i, &cum);
         }
     }
 
@@ -620,8 +555,7 @@ impl OnlineAgg {
         if let Some(key) = Self::cause_key(cause) {
             *self.rc.entry(key).or_insert(0) += issued as i64;
         }
-        let i = self.pi(p);
-        *self.floors[i].entry(now).or_insert(0) += issued as u32;
+        *self.floors[p as usize].entry(now).or_insert(0) += issued as u32;
     }
 
     /// A command citing `cause` was dequeued: capture its base components
@@ -660,7 +594,7 @@ impl OnlineAgg {
         let kind = StepKind::from_activity(sp.activity);
         let len = sp.end - sp.start;
         self.agg.global.add(kind, len);
-        let p = self.pi(sp.proc);
+        let p = sp.proc as usize;
         self.agg.per_proc[p].add(kind, len);
         if self.agg.grid > 0 {
             // Split exactly at bin boundaries so binning is independent
@@ -697,7 +631,7 @@ impl OnlineAgg {
     /// Remove one outstanding-window entry at `t` on `p` (tolerates a
     /// missing entry: crash cleanup abandons windows wholesale).
     fn remove_floor(&mut self, p: ProcId, t: Cycles) {
-        let i = self.pi(p);
+        let i = p as usize;
         if let Some(n) = self.floors[i].get_mut(&t) {
             *n -= 1;
             if *n == 0 {
@@ -720,7 +654,7 @@ impl OnlineAgg {
     ) {
         self.scratch.clear();
         attribute_window(
-            &self.spans[proc as usize - self.first],
+            &self.spans[proc as usize],
             proc,
             from,
             to,
@@ -775,8 +709,7 @@ impl OnlineAgg {
     /// A message reached its destination's interface: its reception wait
     /// window opens at `t`.
     pub(crate) fn on_arrival(&mut self, dst: ProcId, t: Cycles) {
-        let i = self.pi(dst);
-        *self.floors[i].entry(t).or_insert(0) += 1;
+        *self.floors[dst as usize].entry(t).or_insert(0) += 1;
     }
 
     /// Reception began: attribute the destination-side wait window.
@@ -815,12 +748,8 @@ impl OnlineAgg {
     }
 
     /// The barrier released: attribute the binding entrant's window and
-    /// the barrier cost, release every entrant's window. Returns the
-    /// barrier record's cumulative components so the parallel engine's
-    /// coordinator can replicate them into the other lanes' aggregates
-    /// (every released processor's next command cites the barrier as its
-    /// cause, whatever lane it lives on).
-    pub(crate) fn on_barrier_release(&mut self, b: &crate::obs::BarrierRecord) -> Components {
+    /// the barrier cost, release every entrant's window.
+    pub(crate) fn on_barrier_release(&mut self, b: &crate::obs::BarrierRecord) {
         let (_, base) = self
             .barrier_bases
             .get(&b.last_proc)
@@ -835,19 +764,6 @@ impl OnlineAgg {
             self.remove_floor(p, submit);
         }
         self.agg.barriers += 1;
-        cum
-    }
-
-    /// A barrier bound on another lane released: publish its cumulative
-    /// components under the shared [`Cause::Barrier`] key and close this
-    /// lane's entrants' windows. The binding lane already did
-    /// [`OnlineAgg::on_barrier_release`] (terminal candidate + count), so
-    /// neither happens here.
-    pub(crate) fn on_barrier_external(&mut self, id: u64, cum: Components) {
-        self.cps.insert((3 << 61) | id, cum);
-        for (p, (submit, _)) in std::mem::take(&mut self.barrier_bases) {
-            self.remove_floor(p, submit);
-        }
     }
 
     /// A timer was armed (accounting only; its window stays open until

@@ -37,7 +37,6 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-pub mod plane;
 pub mod shard;
 
 /// Errors terminating a simulation abnormally.
@@ -73,69 +72,6 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// A `Vec` indexed by global processor id but storing only the range
-/// `[base, base + len)`. The parallel lane executor (`engine::plane`)
-/// splits every per-processor array of the parent [`Sim`] into per-lane
-/// chunks wrapped in `Off`, so all engine code keeps indexing by global
-/// processor id unchanged; ordinary runs use `base == 0`, where the
-/// subtraction folds into the existing bounds check. Out-of-range access
-/// panics (a missed cross-lane interception site is a bug, not a race).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Off<T> {
-    v: Vec<T>,
-    base: usize,
-}
-
-impl<T> Off<T> {
-    #[inline]
-    pub(crate) fn with_base(v: Vec<T>, base: usize) -> Self {
-        Off { v, base }
-    }
-
-    #[inline]
-    pub(crate) fn base(&self) -> usize {
-        self.base
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    #[inline]
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.v.iter()
-    }
-
-    /// The owned backing storage (merging lane chunks back into a parent).
-    #[inline]
-    pub(crate) fn into_vec(self) -> Vec<T> {
-        self.v
-    }
-}
-
-impl<T> From<Vec<T>> for Off<T> {
-    #[inline]
-    fn from(v: Vec<T>) -> Self {
-        Off { v, base: 0 }
-    }
-}
-
-impl<T> std::ops::Index<usize> for Off<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        &self.v[i - self.base]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Off<T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.v[i - self.base]
-    }
-}
 
 /// Results of a completed run.
 #[derive(Debug, Clone, Default)]
@@ -459,57 +395,6 @@ struct BarrierDelta {
     meta: Option<(Cause, Cycles)>,
 }
 
-/// Marks a [`MsgSlot`] as an index into a lane's cross-lane [`Outbox`]
-/// instead of its message slab (parallel executor only). Slot values stay
-/// well below this bit on both paths (bounded by in-flight messages).
-pub(crate) const OUT_BIT: MsgSlot = 1 << 31;
-
-/// Observability payload riding with one cross-lane message through the
-/// outbox; which field is live depends on the observability mode.
-#[derive(Debug, Default)]
-pub(crate) struct OutObs {
-    /// Ride-along value for `msg_slab_obs` at the destination (record id
-    /// when streaming, injection time when metrics-only; unused when the
-    /// retained record travels instead).
-    pub(crate) val: u64,
-    /// Retained-mode lifecycle record: created at the source but appended
-    /// to the *destination* lane's log at exchange (its id is assigned
-    /// there), so every later lifecycle update stays lane-local.
-    pub(crate) rec: Option<Box<MsgRecord>>,
-    /// Streaming-mode in-flight entry (record + critical-path cumulative),
-    /// moved from the source lane's `inflight` map to the destination's.
-    pub(crate) infl: Option<Box<(MsgRecord, crate::critpath::Components)>>,
-}
-
-/// Cross-lane traffic staged by one lane [`Sim`] during a window pass
-/// (parallel executor only; `None` on ordinary Sims). Drained by the
-/// coordinator at the window barrier and delivered into destination lanes
-/// in canonical `(src_lane, arrival, seq)` order.
-#[derive(Debug, Default)]
-pub(crate) struct Outbox {
-    /// Message payloads, indexed by the low bits of an `OUT_BIT` slot.
-    pub(crate) msgs: Vec<Option<Message>>,
-    /// Observability payloads, parallel to `msgs` (left empty when
-    /// observability is off).
-    pub(crate) obs: Vec<OutObs>,
-    /// Scheduled arrivals: `(time, seq, slot_idx)` with the
-    /// source-canonical sequence the destination orders by.
-    pub(crate) events: Vec<(Cycles, u64, MsgSlot)>,
-}
-
-impl Outbox {
-    /// The observability payload slot for outbox entry `idx`, growing the
-    /// side-array on demand (so the observability-off path never touches
-    /// it).
-    #[inline]
-    pub(crate) fn obs_at(&mut self, idx: usize) -> &mut OutObs {
-        if self.obs.len() <= idx {
-            self.obs.resize_with(idx + 1, OutObs::default);
-        }
-        &mut self.obs[idx]
-    }
-}
-
 /// Gauge handles, allocated only when `SimConfig::metrics_grid > 0`.
 struct GaugeSet {
     inflight_total: GaugeId,
@@ -546,7 +431,7 @@ struct StreamState {
     next_barrier: u64,
     /// Per-processor sequence counters for structured ids (sharded
     /// engine; msgs key by source, computes and timers by owner).
-    sctr: Off<u64>,
+    sctr: Vec<u64>,
     /// Messages injected but not yet delivered: the record so far plus
     /// its critical-path cumulative at injection.
     inflight: std::collections::HashMap<u64, (MsgRecord, crate::critpath::Components)>,
@@ -593,7 +478,7 @@ impl StreamState {
         id
     }
 
-    fn structured(sctr: &mut Off<u64>, p: ProcId) -> u64 {
+    fn structured(sctr: &mut [u64], p: ProcId) -> u64 {
         let c = &mut sctr[p as usize];
         let id = ((p as u64 + 1) << 40) | *c;
         *c += 1;
@@ -624,11 +509,11 @@ struct ObsState {
     /// Per-processor per-command metadata `(cause, submit)`, in lockstep
     /// with that processor's `cmds` (lifecycle log only). Lives here (not
     /// in `ProcState`) so the disabled engine keeps its lean layout.
-    cmd_meta: Off<VecDeque<(Cause, Cycles)>>,
+    cmd_meta: Vec<VecDeque<(Cause, Cycles)>>,
     /// Per-processor payload of the message paying reception overhead.
-    recv_obs: Off<u64>,
+    recv_obs: Vec<u64>,
     /// Per-processor [`ComputeRecord`] id of the compute in flight.
-    cur_compute: Off<u64>,
+    cur_compute: Vec<u64>,
     /// Ride-along observability payload per message slab slot (record id
     /// when the lifecycle log is on, injection time otherwise).
     msg_slab_obs: Vec<u64>,
@@ -680,9 +565,9 @@ impl ObsState {
             h_latency,
             h_stall,
             gauges,
-            cmd_meta: Off::from(vec![VecDeque::new(); p]),
-            recv_obs: Off::from(vec![0; p]),
-            cur_compute: Off::from(vec![0; p]),
+            cmd_meta: vec![VecDeque::new(); p],
+            recv_obs: vec![0; p],
+            cur_compute: vec![0; p],
             msg_slab_obs: Vec::new(),
             inbox_obs: std::collections::HashMap::new(),
             timer_obs: std::collections::HashMap::new(),
@@ -700,61 +585,12 @@ impl ObsState {
                     next_compute: 0,
                     next_timer: 0,
                     next_barrier: 0,
-                    sctr: Off::default(),
+                    sctr: Vec::new(),
                     inflight: std::collections::HashMap::new(),
                     timers_live: std::collections::HashMap::new(),
                     emitted: 0,
                 })
             }),
-        }
-    }
-
-    /// Observability state for one per-lane Sim of the parallel executor
-    /// (`engine::plane`): the same instrument layout as [`ObsState::new`]
-    /// — registered in the same order, so per-lane registries merge
-    /// elementwise at the end of the run — with every per-processor array
-    /// based at the lane's processor range. Gauges never exist here (the
-    /// sharded dispatch requires `metrics_grid == 0`). The `stream` the
-    /// caller passes (if any) is the lane's staging stream: an
-    /// always-pass sampler in front of a buffer sink, re-sampled and
-    /// re-emitted in serial order by the coordinator at each barrier.
-    fn for_lane(
-        base: usize,
-        len: usize,
-        config: &SimConfig,
-        stream: Option<Box<StreamState>>,
-    ) -> Self {
-        let mut metrics = MetricsRegistry::default();
-        let c_injected = metrics.counter("messages_injected");
-        let c_delivered = metrics.counter("messages_delivered");
-        let c_stall_episodes = metrics.counter("stall_episodes");
-        let c_computes = metrics.counter("computes");
-        let c_barrier_entries = metrics.counter("barrier_entries");
-        let h_latency = metrics.histogram("msg_latency_cycles");
-        let h_stall = metrics.histogram("stall_cycles");
-        ObsState {
-            log: ObsLog::default(),
-            metrics,
-            msg_log: config.record_msg_log,
-            metrics_on: config.record_metrics,
-            grid: 0,
-            next_sample: 0,
-            c_injected,
-            c_delivered,
-            c_stall_episodes,
-            c_computes,
-            c_barrier_entries,
-            h_latency,
-            h_stall,
-            gauges: None,
-            cmd_meta: Off::with_base(vec![VecDeque::new(); len], base),
-            recv_obs: Off::with_base(vec![0; len], base),
-            cur_compute: Off::with_base(vec![0; len], base),
-            msg_slab_obs: Vec::new(),
-            inbox_obs: std::collections::HashMap::new(),
-            timer_obs: std::collections::HashMap::new(),
-            barrier_last: (0, 0, 0, Cause::Start),
-            stream,
         }
     }
 }
@@ -776,7 +612,7 @@ struct HierState {
 pub struct Sim {
     model: LogP,
     config: SimConfig,
-    procs: Off<ProcState>,
+    procs: Vec<ProcState>,
     heap: EventHeap,
     seq: u64,
     now: Cycles,
@@ -789,7 +625,7 @@ pub struct Sim {
     rng: SmallRng,
     /// Per-processor systematic compute scale in parts-per-1024 (1024 =
     /// nominal speed); drawn once at construction from `proc_skew_ppk`.
-    proc_scale: Off<i64>,
+    proc_scale: Vec<i64>,
     trace: Trace,
     stats: SimStats,
     barrier_count: u32,
@@ -833,23 +669,18 @@ pub struct Sim {
     /// Per-lane event heaps and message slabs.
     lanes: Vec<Lane>,
     /// Processor → owning lane.
-    lane_of: Off<u32>,
+    lane_of: Vec<u32>,
     /// Per-processor counters feeding the low 36 bits of every canonical
     /// event key that processor issues (and its latency/drift draws), so
     /// keys and draws depend only on processor-local execution order —
     /// never on how processors are partitioned into lanes.
-    pctr: Off<u64>,
+    pctr: Vec<u64>,
     /// Per-source release-time rings: the network-release instants of the
     /// source's in-flight messages, kept sorted. Replaces the classic
     /// engine's `Release` events for source-capacity admission.
-    rings: Off<VecDeque<Cycles>>,
+    rings: Vec<VecDeque<Cycles>>,
     /// Barrier deltas logged during the current window pass.
     bdeltas: Vec<BarrierDelta>,
-    /// Cross-lane outbox: present only on the per-lane Sims the parallel
-    /// executor builds (`engine::plane`). When set, a send whose
-    /// destination falls outside this Sim's processor range diverts here
-    /// instead of the (absent) destination lane.
-    out: Option<Box<Outbox>>,
     /// Debug-only count of arena growths past the construction-time
     /// pre-size (event heap, message slab). Million-processor setup must
     /// allocate each arena exactly once; tests pin this at zero for the
@@ -867,17 +698,9 @@ pub struct Sim {
     v_far_spills: u64,
     /// Events processed per lane (sharded driver).
     v_lane_events: Vec<u64>,
-    /// Worker threads the run executed on (0 = serial).
-    v_workers: u32,
-    /// Wall time each lane spent pumping, summed over windows (parallel
-    /// executor only).
-    v_lane_wall_ns: Vec<u64>,
-    /// Wall time the coordinator spent waiting at window barriers
-    /// (parallel executor only).
-    v_barrier_wait_ns: u64,
     /// 1 when a capacity-enforcing config ran on the sharded engine,
-    /// which relaxes enforcement to the source-side window (see
-    /// DESIGN.md); surfaced as the `vitals_capacity_relaxed` counter.
+    /// which enforces the source-side window but relaxes
+    /// destination-side admission (see DESIGN.md).
     v_capacity_relaxed: u64,
 }
 
@@ -928,11 +751,9 @@ impl Sim {
         let inbox_cap = max_outstanding.min(64) as usize + 1;
         Sim {
             model,
-            procs: Off::from(
-                (0..p)
-                    .map(|_| ProcState::new(Box::new(crate::process::Passive), inbox_cap))
-                    .collect::<Vec<_>>(),
-            ),
+            procs: (0..p)
+                .map(|_| ProcState::new(Box::new(crate::process::Passive), inbox_cap))
+                .collect(),
             heap: EventHeap::with_capacity(4 * p + 16),
             seq: 0,
             now: 0,
@@ -941,7 +762,7 @@ impl Sim {
             outstanding_to: vec![0; p],
             dst_waiters: (0..p).map(|_| VecDeque::new()).collect(),
             rng,
-            proc_scale: Off::from(proc_scale),
+            proc_scale,
             trace: Trace::default(),
             stats: SimStats {
                 procs: vec![ProcStats::default(); p],
@@ -976,11 +797,10 @@ impl Sim {
                 .then(|| Box::new(ObsState::new(p, &config))),
             config,
             lanes: Vec::new(),
-            lane_of: Off::default(),
-            pctr: Off::default(),
-            rings: Off::default(),
+            lane_of: Vec::new(),
+            pctr: Vec::new(),
+            rings: Vec::new(),
             bdeltas: Vec::new(),
-            out: None,
             #[cfg(debug_assertions)]
             arena_reallocs: 0,
             v_windows: 0,
@@ -988,9 +808,6 @@ impl Sim {
             v_bucket_max: 0,
             v_far_spills: 0,
             v_lane_events: Vec::new(),
-            v_workers: 0,
-            v_lane_wall_ns: Vec::new(),
-            v_barrier_wait_ns: 0,
             v_capacity_relaxed: 0,
         }
     }
@@ -1065,14 +882,6 @@ impl Sim {
             }
             None => (0, self.capacity),
         }
-    }
-
-    /// The half-open global processor-id range this Sim owns: the full
-    /// machine for ordinary Sims, one lane's slice for the per-lane Sims
-    /// of the parallel executor.
-    #[inline]
-    fn proc_range(&self) -> std::ops::Range<usize> {
-        self.procs.base()..self.procs.base() + self.procs.len()
     }
 
     /// Debug builds count every growth of a pre-sized arena past its
@@ -1227,19 +1036,6 @@ impl Sim {
             return;
         }
         let seq = ((src as u64 + 1) << 36) | self.bump_pctr(src);
-        if slot & OUT_BIT != 0 {
-            // Cross-lane send on the parallel executor: the arrival is
-            // exchanged at the window barrier. The source-canonical seq
-            // was drawn above exactly as for a local arrival, so keys —
-            // and therefore the merged schedule — are identical to a
-            // serial run.
-            let out = self
-                .out
-                .as_deref_mut()
-                .expect("OUT_BIT slot without outbox");
-            out.events.push((time, seq, slot & !OUT_BIT));
-            return;
-        }
         self.push_lane(dst, event_key(time, 0, seq), EventKind::Arrive(slot));
     }
 
@@ -1248,11 +1044,6 @@ impl Sim {
     /// observability side-arrays stay dense across lanes.
     #[inline]
     fn stash_msg_sharded(&mut self, dst: ProcId, msg: Message) -> MsgSlot {
-        if self.out.is_some() && !self.proc_range().contains(&(dst as usize)) {
-            let out = self.out.as_deref_mut().expect("checked above");
-            out.msgs.push(Some(msg));
-            return (out.msgs.len() - 1) as MsgSlot | OUT_BIT;
-        }
         let n = self.lanes.len() as u32;
         let li = self.lane_of[dst as usize];
         let lane = &mut self.lanes[li as usize];
@@ -1496,9 +1287,9 @@ impl Sim {
         }
     }
 
-    /// Record an injected message's lifecycle head and return the value
-    /// to ride along with it (record id, or injection time for
-    /// metrics-only runs).
+    /// Record an injected message's lifecycle head and park the value
+    /// that rides along with it in `slot` (record id, or injection time
+    /// for metrics-only runs).
     #[cold]
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
@@ -1516,18 +1307,10 @@ impl Sim {
         arrive: Cycles,
         dup: bool,
     ) {
-        let outgoing = slot & OUT_BIT != 0;
-        let oi = (slot & !OUT_BIT) as usize;
-        let out = self.out.as_deref_mut();
         let Some(obs) = self.obs.as_deref_mut() else {
             return;
         };
-        // An outgoing (cross-lane, parallel executor) message's payload
-        // rides the outbox instead of this Sim's side-arrays: the
-        // destination lane installs it at the window exchange, so every
-        // later lifecycle update stays lane-local.
-        let mut slab_val = None;
-        if obs.msg_log {
+        let slab_val = if obs.msg_log {
             let mut rec = MsgRecord {
                 id: 0,
                 src,
@@ -1550,40 +1333,25 @@ impl Sim {
                     Some(agg) => agg.on_send(&rec, dup),
                     None => Default::default(),
                 };
-                if outgoing {
-                    let o = out.expect("OUT_BIT slot without outbox").obs_at(oi);
-                    o.val = rec.id;
-                    o.infl = Some(Box::new((rec, cum)));
-                } else {
-                    slab_val = Some(rec.id);
-                    st.inflight.insert(rec.id, (rec, cum));
-                }
-            } else if outgoing {
-                // Retained mode: the record is appended to the
-                // *destination* lane's log at exchange (ids are assigned
-                // there; the end-of-run merge renumbers them globally).
-                out.expect("OUT_BIT slot without outbox").obs_at(oi).rec = Some(Box::new(rec));
+                st.inflight.insert(rec.id, (rec, cum));
+                rec.id
             } else {
                 rec.id = obs.log.msgs.len() as u64;
-                slab_val = Some(rec.id);
                 obs.log.msgs.push(rec);
+                rec.id
             }
-        } else if outgoing {
-            out.expect("OUT_BIT slot without outbox").obs_at(oi).val = inject;
         } else {
-            slab_val = Some(inject);
-        }
+            inject
+        };
         if obs.metrics_on {
             let c = obs.c_injected;
             obs.metrics.inc(c, 1);
         }
-        if let Some(val) = slab_val {
-            let s = slot as usize;
-            if obs.msg_slab_obs.len() <= s {
-                obs.msg_slab_obs.resize(s + 1, 0);
-            }
-            obs.msg_slab_obs[s] = val;
+        let s = slot as usize;
+        if obs.msg_slab_obs.len() <= s {
+            obs.msg_slab_obs.resize(s + 1, 0);
         }
+        obs.msg_slab_obs[s] = slab_val;
     }
 
     /// Record a message the fault layer dropped in flight: it gets a
@@ -2737,37 +2505,24 @@ impl Sim {
             if let Some(st) = obs.stream.as_deref_mut() {
                 st.sharded = sharded;
                 if sharded {
-                    st.sctr = Off::from(vec![0; self.model.p as usize]);
+                    st.sctr = vec![0; self.model.p as usize];
                 }
             }
         }
-        // The sharded engine's capacity model admits every arrival
-        // immediately (stalling a remote sender within a lookahead window
-        // would need cross-lane backpressure), so a capacity-enforcing
-        // config is silently relaxed there. Surface that: a vitals
-        // counter on every such run, plus a one-time structured warning.
+        // The sharded engine enforces the source-side ⌈L/g⌉ window through
+        // its rings but admits every arrival immediately (stalling a
+        // remote sender within a lookahead window would need cross-lane
+        // backpressure), so destination-side admission is relaxed there.
+        // `vitals.capacity_relaxed` reports that on the result.
         if sharded && self.config.enforce_capacity {
             self.v_capacity_relaxed = 1;
-            static CAPACITY_WARN: std::sync::Once = std::sync::Once::new();
-            CAPACITY_WARN.call_once(|| {
-                eprintln!(
-                    "logp-sim: warning: enforce_capacity is not implemented by the sharded \
-                     engine (shards >= 2): the network capacity bound is relaxed for this run \
-                     (reported as vitals_capacity_relaxed = 1; use shards = 0 to enforce it)"
-                );
-            });
         }
-        let workers = self.config.workers;
         let wall_start = std::time::Instant::now();
         match (self.obs.is_some(), self.faults.is_some(), sharded) {
             (false, false, false) => self.drive::<false, false>()?,
             (false, true, false) => self.drive::<false, true>()?,
             (true, false, false) => self.drive::<true, false>()?,
             (true, true, false) => self.drive::<true, true>()?,
-            (false, false, true) if workers >= 1 => self.drive_parallel::<false, false>(workers)?,
-            (false, true, true) if workers >= 1 => self.drive_parallel::<false, true>(workers)?,
-            (true, false, true) if workers >= 1 => self.drive_parallel::<true, false>(workers)?,
-            (true, true, true) if workers >= 1 => self.drive_parallel::<true, true>(workers)?,
             (false, false, true) => self.drive_sharded::<false, false>()?,
             (false, true, true) => self.drive_sharded::<false, true>()?,
             (true, false, true) => self.drive_sharded::<true, false>()?,
@@ -2823,23 +2578,13 @@ impl Sim {
             engine: if sharded { "sharded" } else { "classic" },
             wall_ns,
             events: self.stats.events,
-            // The parallel driver leaves `self.lanes` empty (lane state
-            // lives in the per-lane Sims), so fall back to the per-lane
-            // event counts it merged.
-            lanes: if sharded {
-                self.lanes.len().max(self.v_lane_events.len()) as u32
-            } else {
-                1
-            },
+            lanes: if sharded { self.lanes.len() as u32 } else { 1 },
             lane_events: std::mem::take(&mut self.v_lane_events),
             windows: self.v_windows,
             fast_forwards: self.v_fast_forwards,
             bucket_depth_max: self.v_bucket_max,
             far_spills: self.v_far_spills,
             arena_reallocs: reallocs,
-            workers: self.v_workers,
-            lane_wall_ns: std::mem::take(&mut self.v_lane_wall_ns),
-            barrier_wait_ns: self.v_barrier_wait_ns,
             capacity_relaxed: self.v_capacity_relaxed,
         };
         Ok((

@@ -91,13 +91,13 @@ impl Sim {
     /// sharded engine's state (lane heaps and slabs, canonical counters,
     /// source rings). Arenas are pre-sized so steady-state collectives
     /// never reallocate (pinned by the debug realloc counter).
-    pub(super) fn setup_lanes(&mut self) {
+    fn setup_lanes(&mut self) {
         let p = self.model.p as usize;
         let want = (self.config.shards as usize).min(p);
         let per = self.lane_width(want);
         let n = p.div_ceil(per);
         let b = self.ring_span();
-        self.lane_of = super::Off::from(vec![0; p]);
+        self.lane_of = vec![0; p];
         self.lanes = Vec::with_capacity(n);
         for li in 0..n {
             let first = li * per;
@@ -115,8 +115,8 @@ impl Sim {
                 free: Vec::with_capacity(2 * lp + 16),
             });
         }
-        self.pctr = super::Off::from(vec![0; p]);
-        self.rings = super::Off::from(vec![VecDeque::new(); p]);
+        self.pctr = vec![0; p];
+        self.rings = vec![VecDeque::new(); p];
         self.v_lane_events = vec![0; n];
     }
 
@@ -124,9 +124,8 @@ impl Sim {
     /// contiguous lane, rounded up to a topology-group boundary on
     /// hierarchical machines so intra-group traffic stays lane-local
     /// (results are lane-count invariant either way; alignment only
-    /// moves the cut points). Shared by the serial sharded driver and
-    /// the parallel executor so their partitions cannot drift apart.
-    pub(super) fn lane_width(&self, want: usize) -> usize {
+    /// moves the cut points).
+    fn lane_width(&self, want: usize) -> usize {
         let p = self.model.p as usize;
         let per = p.div_ceil(want.max(1));
         match self.hierarchy() {
@@ -139,7 +138,7 @@ impl Sim {
     /// can cause an arrival before `T + W` where `W = o + (L - jitter)`.
     /// On hierarchical machines the bound must hold whichever level a
     /// message uses, so it is the minimum over levels.
-    pub(super) fn model_lookahead(&self) -> Cycles {
+    fn model_lookahead(&self) -> Cycles {
         match self.hierarchy() {
             Some(h) => h.min_lookahead(self.config.latency_jitter),
             None => {
@@ -169,7 +168,7 @@ impl Sim {
     /// balloon the ring — beyond-horizon events overflow into the `far`
     /// heap and are spilled back when their window comes, so the cap
     /// costs time, never correctness.
-    pub(super) fn ring_span(&self) -> Cycles {
+    fn ring_span(&self) -> Cycles {
         (self.model_lookahead() + self.max_reach() + 2)
             .next_power_of_two()
             .clamp(16, 8192)
@@ -178,7 +177,7 @@ impl Sim {
     /// Effective window width: the model lookahead, narrowed if the
     /// capped ring cannot cover it (windows narrower than the lookahead
     /// are always legal — lanes just resynchronize more often).
-    pub(super) fn window_width(&self) -> Cycles {
+    fn window_width(&self) -> Cycles {
         self.model_lookahead().min(self.ring_span() / 2)
     }
 
@@ -186,7 +185,7 @@ impl Sim {
     /// always precede `far` entries (pushes beyond the horizon go to
     /// `far`; rebasing spills everything nearer back into the ring), so
     /// the ring scan short-circuits the heap.
-    pub(super) fn lane_min(&self, li: usize) -> Option<Cycles> {
+    fn lane_min(&self, li: usize) -> Option<Cycles> {
         let lane = &self.lanes[li];
         if lane.bcount == 0 {
             return lane.far.peek().map(key_time);
@@ -198,7 +197,7 @@ impl Sim {
     /// Move lane `li`'s ring base up to `t0` and spill newly in-horizon
     /// overflow events into the ring. Bucketed leftovers stay valid: they
     /// all lie in `[t0, old_base + span) ⊆ [t0, t0 + span)`.
-    pub(super) fn rebase_lane(&mut self, li: usize, t0: Cycles) {
+    fn rebase_lane(&mut self, li: usize, t0: Cycles) {
         let lane = &mut self.lanes[li];
         lane.bbase = t0;
         let b = lane.buckets.len() as u64;
@@ -221,7 +220,7 @@ impl Sim {
     /// in the vacated bucket and are merged into the unprocessed tail,
     /// preserving heap semantics (the next event is always the minimum
     /// remaining key).
-    pub(super) fn pump_lane<const OBS: bool, const FAULTS: bool>(
+    fn pump_lane<const OBS: bool, const FAULTS: bool>(
         &mut self,
         li: usize,
         t_end: Cycles,
@@ -398,7 +397,7 @@ impl Sim {
     /// instant `t_done + barrier_cost`. Also repairs `barrier_last` —
     /// lane passes update it in pass order, but the record belongs to the
     /// canonically last entrant.
-    pub(super) fn barrier_release_time(&mut self, alive_base: i64) -> Cycles {
+    fn barrier_release_time(&mut self, alive_base: i64) -> Cycles {
         self.bdeltas.sort_unstable_by_key(|d| (d.t, d.proc));
         let mut count = 0i64;
         let mut alive = alive_base;
@@ -429,35 +428,17 @@ impl Sim {
     }
 
     /// Release the barrier at `t_rel`: the classic `BarrierRelease` arm,
-    /// re-run against the canonical release instant. Split into three
-    /// per-processor phases so the parallel executor (`engine::plane`)
-    /// can run each phase lane-by-lane in processor order — reproducing
-    /// this exact serial sequence — with the lifecycle record written
-    /// once by the coordinator between phases.
+    /// re-run against the canonical release instant.
     fn apply_barrier_release<const OBS: bool, const FAULTS: bool>(&mut self, t_rel: Cycles) {
         self.now = t_rel;
+        self.barrier_count = 0;
         let bcause = if OBS {
             self.record_barrier_release()
         } else {
             Cause::Start
         };
-        self.barrier_release_collect(t_rel);
-        self.barrier_release_handlers::<OBS>(bcause);
-        self.barrier_release_advance::<OBS, FAULTS>();
-    }
-
-    /// Phase 1: collect this Sim's released processors into
-    /// `released_scratch` (kept there across the three phases) and close
-    /// their barrier state and spans.
-    pub(super) fn barrier_release_collect(&mut self, t_rel: Cycles) {
-        self.now = t_rel;
-        self.barrier_count = 0;
         let mut released = std::mem::take(&mut self.released_scratch);
-        released.extend(
-            self.proc_range()
-                .map(|p| p as logp_core::ProcId)
-                .filter(|&p| self.procs[p as usize].in_barrier),
-        );
+        released.extend((0..self.model.p).filter(|&p| self.procs[p as usize].in_barrier));
         for &p in &released {
             let st = &mut self.procs[p as usize];
             st.in_barrier = false;
@@ -467,22 +448,9 @@ impl Sim {
             st.stats.barrier_wait += t_rel - entered;
             self.span(p, entered, t_rel, Activity::Barrier);
         }
-        self.released_scratch = released;
-    }
-
-    /// Phase 2: run the released processors' `on_barrier_release`
-    /// handlers (no sink emissions — handler metadata is aggregate-only).
-    pub(super) fn barrier_release_handlers<const OBS: bool>(&mut self, bcause: Cause) {
-        let released = std::mem::take(&mut self.released_scratch);
         for &p in &released {
             self.run_handler::<OBS, _>(p, bcause, |prog, ctx| prog.on_barrier_release(ctx));
         }
-        self.released_scratch = released;
-    }
-
-    /// Phase 3: advance the released processors, consuming the scratch.
-    pub(super) fn barrier_release_advance<const OBS: bool, const FAULTS: bool>(&mut self) {
-        let mut released = std::mem::take(&mut self.released_scratch);
         for &p in &released {
             self.advance::<OBS, FAULTS, true>(p);
         }
@@ -496,7 +464,7 @@ impl Sim {
     /// passes append records in pass order; the canonical order is the
     /// per-record primary timestamp with the owning processor as
     /// tiebreak (both lane-count-invariant).
-    pub(super) fn canonicalize_results(&mut self) {
+    fn canonicalize_results(&mut self) {
         if self.config.record_trace {
             self.trace.spans.sort_by_key(|s| s.proc);
         }
@@ -513,7 +481,7 @@ impl Sim {
     /// event semantics, replacing the single globally ordered heap with
     /// per-lane heaps drained window-by-window.
     #[inline(never)]
-    pub(crate) fn drive_sharded<const OBS: bool, const FAULTS: bool>(
+    pub(super) fn drive_sharded<const OBS: bool, const FAULTS: bool>(
         &mut self,
     ) -> Result<(), SimError> {
         self.setup_lanes();

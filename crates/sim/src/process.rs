@@ -137,9 +137,10 @@ impl<'a> Ctx<'a> {
 /// they react to. A processor whose handlers never issue commands simply
 /// receives messages as they arrive (paying `o` per reception).
 ///
-/// Processes must be `Send`: the sharded engine can move a processor's
-/// state to a worker thread when [`crate::SimConfig::with_workers`] is
-/// set. Handlers still run one-at-a-time per processor, and all shared
+/// Processes must be `Send` so a loaded [`crate::Sim`] is itself `Send`:
+/// a machine built on one thread can be run on another (for example a
+/// sweep job that receives prepared machines). The engine itself runs
+/// every handler on the calling thread, one at a time, and all shared
 /// state in this crate ([`crate::SharedCell`], message payloads) already
 /// satisfies the bound.
 pub trait Process: Send {

@@ -322,8 +322,8 @@ pub struct WlRun {
 
 /// Interpret a workload on machine `m` (re-dimensioned to the
 /// workload's processor count) under `config` — classic engine by
-/// default, sharded with [`SimConfig::with_shards`], parallel lanes
-/// with `with_workers`. Validates first; never panics on bad input.
+/// default, sharded with [`SimConfig::with_shards`]. Validates first;
+/// never panics on bad input.
 pub fn run_workload(wl: &Workload, m: &LogP, config: SimConfig) -> Result<WlRun, WlRunError> {
     wl.validate().map_err(WlRunError::Invalid)?;
     let machine = m.with_p(wl.procs);

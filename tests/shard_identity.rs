@@ -74,6 +74,22 @@ impl Process for Scatter {
     }
 }
 
+/// Every processor sends to every other one straight from `on_start`.
+/// Prologue sends predate the first window, so their cross-lane
+/// arrivals are not covered by the `arrival >= t0 + W` bound and can
+/// land inside the first window.
+struct Blast;
+
+impl Process for Blast {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        let me = ctx.me();
+        let p = ctx.procs();
+        for k in 1..p {
+            ctx.send((me + k) % p, 0, Data::Empty);
+        }
+    }
+}
+
 #[test]
 fn broadcast_bit_identical_across_lane_counts() {
     for m in machines() {
@@ -89,6 +105,23 @@ fn broadcast_bit_identical_across_lane_counts() {
             assert_eq!(runs[0], runs[1], "2 vs 3 lanes diverged on {m:?}");
             assert_eq!(runs[0], runs[2], "2 vs 8 lanes diverged on {m:?}");
         }
+        // The all-to-all prologue blast.
+        let blast = |n: u32| -> SimResult {
+            let mut sim = Sim::new(m, SimConfig::observed().with_shards(n));
+            sim.set_all(|_| Box::new(Blast));
+            sim.run().expect("blast terminates")
+        };
+        let b2 = blast(2);
+        assert_eq!(
+            b2,
+            blast(4),
+            "prologue blast: 2 vs 4 lanes diverged on {m:?}"
+        );
+        assert_eq!(
+            b2,
+            blast(8),
+            "prologue blast: 2 vs 8 lanes diverged on {m:?}"
+        );
     }
 }
 
@@ -114,6 +147,11 @@ fn allreduce_bit_identical_across_lane_counts() {
 
 #[test]
 fn faulted_run_bit_identical_across_lane_counts() {
+    let run = |m: LogP, config: &SimConfig, n: u32| -> SimResult {
+        let mut sim = Sim::new(m, config.clone().with_shards(n));
+        sim.set_all(|_| Box::new(Scatter { rounds: 4 }));
+        sim.run().expect("scatter terminates")
+    };
     for m in machines() {
         let plan = FaultPlan::new(0xFEED)
             .with_drop_ppm(50_000)
@@ -123,17 +161,36 @@ fn faulted_run_bit_identical_across_lane_counts() {
         let config = SimConfig::observed()
             .with_jitter(3)
             .with_faults(plan.clone());
-        let run = |n: u32| -> SimResult {
-            let mut sim = Sim::new(m, config.clone().with_shards(n));
-            sim.set_all(|_| Box::new(Scatter { rounds: 4 }));
-            sim.run().expect("scatter terminates")
-        };
-        let r2 = run(2);
-        let r3 = run(3);
-        let r8 = run(8);
+        let r2 = run(m, &config, 2);
+        let r3 = run(m, &config, 3);
+        let r8 = run(m, &config, 8);
         assert_eq!(r2, r3, "2 vs 3 lanes diverged under faults on {m:?}");
         assert_eq!(r2, r8, "2 vs 8 lanes diverged under faults on {m:?}");
+
+        // A cycle-0 crash of processor 0 suppresses its `on_start`.
+        let config = SimConfig::observed()
+            .with_jitter(3)
+            .with_faults(plan.with_crash(0, 0));
+        let r2 = run(m, &config, 2);
+        assert_eq!(r2, run(m, &config, 4), "2 vs 4 lanes diverged on {m:?}");
+        assert_eq!(r2, run(m, &config, 8), "2 vs 8 lanes diverged on {m:?}");
     }
+
+    // The online aggregate (critical path, per-processor components,
+    // time bins) under jitter and faults.
+    let m = LogP::new(14, 3, 5, 27).unwrap();
+    let config = SimConfig::default()
+        .with_jitter(2)
+        .with_faults(
+            FaultPlan::new(0xFEED)
+                .with_drop_ppm(40_000)
+                .with_delay(25_000, 5),
+        )
+        .with_aggregate(true);
+    let r2 = run(m, &config, 2);
+    assert!(r2.aggregate.is_some(), "aggregation must produce a report");
+    assert_eq!(r2, run(m, &config, 4), "aggregate: 2 vs 4 lanes diverged");
+    assert_eq!(r2, run(m, &config, 8), "aggregate: 2 vs 8 lanes diverged");
 }
 
 #[test]
@@ -188,6 +245,20 @@ fn classic_and_sharded_agree_on_barrier_programs() {
     let s2 = run(SimConfig::default().with_shards(2));
     let s8 = run(SimConfig::default().with_shards(8));
     assert_eq!(s2, s8);
+
+    // Observed and jittered barrier rounds on every machine.
+    for m in machines() {
+        for config in [SimConfig::observed(), SimConfig::observed().with_jitter(2)] {
+            let run = |n: u32| -> SimResult {
+                let mut sim = Sim::new(m, config.clone().with_shards(n));
+                sim.set_all(|_| Box::new(BarrierHop));
+                sim.run().expect("barrier program terminates")
+            };
+            let r2 = run(2);
+            assert_eq!(r2, run(4), "barriers: 2 vs 4 lanes diverged on {m:?}");
+            assert_eq!(r2, run(8), "barriers: 2 vs 8 lanes diverged on {m:?}");
+        }
+    }
 }
 
 /// A message's lane-invariant identity: every lifecycle timestamp, but
@@ -234,9 +305,20 @@ fn sampled_set(text: &str) -> Vec<MsgKey> {
     keys
 }
 
+/// The lines of a streamed artifact as a multiset: record order depends
+/// on the lane count, record content does not. Trailing commas are
+/// dropped because the last Perfetto event line has none.
+fn line_multiset(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().map(|l| l.trim_end_matches(',')).collect();
+    lines.sort_unstable();
+    lines
+}
+
 /// Every sampling policy is a pure function of record identity, so the
 /// sampled message *set* streamed to a sink is identical across the
-/// classic engine and every sharded lane count {1, 2, 4, 8}.
+/// classic engine and every sharded lane count {1, 2, 4, 8}. Under
+/// jitter (sharded lanes only), the JSONL and Perfetto artifacts hold
+/// the same lines at every lane count {2, 4, 8}.
 #[test]
 fn sampling_policies_invariant_across_lane_counts() {
     let dir = std::env::temp_dir().join("logp_sampling_lanes_test");
@@ -270,6 +352,41 @@ fn sampling_policies_invariant_across_lane_counts() {
                 baseline,
                 run(lanes),
                 "policy {policy:?} diverged at {lanes} lanes"
+            );
+        }
+
+        let artifacts = |lanes: u32| -> (String, String) {
+            let jsonl = dir.join(format!("p{pi}_j{lanes}.jsonl"));
+            let perfetto = dir.join(format!("p{pi}_j{lanes}.pftrace.json"));
+            for sink in [
+                SinkSpec::Jsonl(jsonl.clone()),
+                SinkSpec::Perfetto(perfetto.clone()),
+            ] {
+                let config = SimConfig::default()
+                    .with_jitter(2)
+                    .with_shards(lanes)
+                    .with_sink(sink)
+                    .with_sampling(policy.clone());
+                let res = run_optimal_broadcast(&m, config).result;
+                assert!(res.obs.is_empty(), "streaming retains nothing");
+            }
+            (
+                std::fs::read_to_string(&jsonl).unwrap(),
+                std::fs::read_to_string(&perfetto).unwrap(),
+            )
+        };
+        let (j2, p2) = artifacts(2);
+        for lanes in [4u32, 8] {
+            let (j, p) = artifacts(lanes);
+            assert_eq!(
+                line_multiset(&j2),
+                line_multiset(&j),
+                "policy {policy:?}: JSONL lines diverged at {lanes} lanes"
+            );
+            assert_eq!(
+                line_multiset(&p2),
+                line_multiset(&p),
+                "policy {policy:?}: Perfetto lines diverged at {lanes} lanes"
             );
         }
     }
@@ -321,242 +438,37 @@ impl Process for TreeFanOut {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker-count invariance: the parallel window executor
-// (`logp_sim::engine::plane`) must reproduce the serial sharded engine's
-// `SimResult` — and every exported artifact — bit for bit at every worker
-// count, in every configuration.
-// ---------------------------------------------------------------------------
-
+/// `vitals.capacity_relaxed` is the structured diagnostic for the one
+/// capacity rule the lane engine relaxes: it reads 1 exactly when a
+/// capacity-enforcing config runs on lanes (destination-side admission
+/// is relaxed; the source window is still enforced), and 0 on the
+/// classic engine and on uncapped lane runs. The vitals also report the
+/// lane shape the serial driver ran.
 #[test]
-fn broadcast_bit_identical_across_worker_counts() {
-    for m in machines() {
-        for config in [
-            SimConfig::default(),
-            SimConfig::observed(),
-            SimConfig::observed().with_jitter(3).with_drift(8),
-        ] {
-            let run = |workers: u32| -> SimResult {
-                run_optimal_broadcast(&m, config.clone().with_shards(8).with_workers(workers))
-                    .result
-            };
-            let serial = run(0);
-            for workers in [1u32, 2, 4, 8] {
-                assert_eq!(
-                    serial,
-                    run(workers),
-                    "serial vs {workers} workers diverged on {m:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn faulted_run_bit_identical_across_worker_counts() {
-    for m in machines() {
-        let plan = FaultPlan::new(0xFEED)
-            .with_drop_ppm(50_000)
-            .with_dup_ppm(20_000)
-            .with_delay(30_000, 7)
-            .with_crash(m.p - 1, 40)
-            .with_crash(0, 0);
-        let config = SimConfig::observed()
-            .with_jitter(3)
-            .with_shards(4)
-            .with_faults(plan.clone());
-        let run = |workers: u32| -> SimResult {
-            let mut sim = Sim::new(m, config.clone().with_workers(workers));
-            sim.set_all(|_| Box::new(Scatter { rounds: 4 }));
-            sim.run().expect("scatter terminates")
-        };
-        let serial = run(0);
-        for workers in [1u32, 2, 4, 8] {
-            assert_eq!(
-                serial,
-                run(workers),
-                "serial vs {workers} workers diverged under faults on {m:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn barrier_programs_bit_identical_across_worker_counts() {
-    struct BarrierHop;
-    impl Process for BarrierHop {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let me = ctx.me();
-            let p = ctx.procs();
-            ctx.compute(u64::from(me % 5) * 3, 0);
-            ctx.barrier();
-            ctx.send((me + 1) % p, 1, Data::U64(u64::from(me)));
-            ctx.barrier();
-        }
-    }
-    for m in machines() {
-        for config in [
-            SimConfig::observed().with_shards(3),
-            SimConfig::observed().with_jitter(2).with_shards(8),
-        ] {
-            let run = |workers: u32| -> SimResult {
-                let mut sim = Sim::new(m, config.clone().with_workers(workers));
-                sim.set_all(|_| Box::new(BarrierHop));
-                sim.run().expect("barrier program terminates")
-            };
-            let serial = run(0);
-            for workers in [1u32, 2, 4, 8] {
-                assert_eq!(
-                    serial,
-                    run(workers),
-                    "serial vs {workers} workers diverged on barriers on {m:?}"
-                );
-            }
-        }
-    }
-}
-
-/// Prologue sends: `on_start` runs at t = 0, *before* the first
-/// window's start, so its cross-lane arrivals are not covered by the
-/// `arrival >= t0 + W` window bound and can land inside the first
-/// window. The parallel executor must deliver the prologue outboxes
-/// before the first window pumps (regression: an all-to-all blast from
-/// `on_start` let a destination's capacity wake overtake an arrival the
-/// serial engine services first).
-#[test]
-fn prologue_blast_bit_identical_across_worker_counts() {
-    struct Blast;
-    impl Process for Blast {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let me = ctx.me();
-            let p = ctx.procs();
-            for k in 1..p {
-                ctx.send((me + k) % p, 0, Data::Empty);
-            }
-        }
-    }
-    for m in machines() {
-        for shards in [2u32, 4, 8] {
-            let run = |workers: u32| -> SimResult {
-                let mut sim = Sim::new(
-                    m,
-                    SimConfig::observed()
-                        .with_shards(shards)
-                        .with_workers(workers),
-                );
-                sim.set_all(|_| Box::new(Blast));
-                sim.run().expect("blast terminates")
-            };
-            let serial = run(0);
-            for workers in [1u32, 2, 4] {
-                assert_eq!(
-                    serial,
-                    run(workers),
-                    "prologue blast diverged at {shards} lanes, {workers} workers on {m:?}"
-                );
-            }
-        }
-    }
-}
-
-/// Streamed artifacts must be *byte*-identical across worker counts:
-/// lane emissions stage per lane and flush through the parent's sampler
-/// and sink in lane order at every window barrier, which is exactly the
-/// serial emission order.
-#[test]
-fn streamed_artifacts_byte_identical_across_worker_counts() {
-    let dir = std::env::temp_dir().join("logp_worker_stream_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let m = LogP::new(14, 3, 5, 27).unwrap();
-    let policies = [
-        ObsSampling::All,
-        ObsSampling::Stride(3),
-        ObsSampling::Reservoir { k: 9, seed: 0x5EED },
-    ];
-    for (pi, policy) in policies.into_iter().enumerate() {
-        let run = |workers: u32| -> (String, String) {
-            let jsonl = dir.join(format!("p{pi}_w{workers}.jsonl"));
-            let perfetto = dir.join(format!("p{pi}_w{workers}.pftrace.json"));
-            for (sink, path) in [
-                (SinkSpec::Jsonl(jsonl.clone()), &jsonl),
-                (SinkSpec::Perfetto(perfetto.clone()), &perfetto),
-            ] {
-                let config = SimConfig::default()
-                    .with_jitter(2)
-                    .with_shards(8)
-                    .with_workers(workers)
-                    .with_sink(sink)
-                    .with_sampling(policy.clone());
-                let res = run_optimal_broadcast(&m, config).result;
-                assert!(res.obs.is_empty(), "streaming retains nothing");
-                assert!(path.exists());
-            }
-            (
-                std::fs::read_to_string(&jsonl).unwrap(),
-                std::fs::read_to_string(&perfetto).unwrap(),
-            )
-        };
-        let serial = run(0);
-        for workers in [1u32, 2, 4, 8] {
-            assert_eq!(
-                serial,
-                run(workers),
-                "policy {policy:?} artifacts diverged at {workers} workers"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Online aggregation under workers: the per-lane aggregates absorbed
-/// into the parent must equal the serial sharded aggregate exactly
-/// (same critical path, same per-processor components, same histograms),
-/// under jitter and faults.
-#[test]
-fn aggregation_invariant_across_worker_counts() {
-    let m = LogP::new(14, 3, 5, 27).unwrap();
-    let plan = FaultPlan::new(0xFEED)
-        .with_drop_ppm(40_000)
-        .with_delay(25_000, 5);
-    let run = |workers: u32| {
-        let config = SimConfig::default()
-            .with_jitter(2)
-            .with_shards(4)
-            .with_workers(workers)
-            .with_faults(plan.clone())
-            .with_aggregate(true);
-        let mut sim = Sim::new(m, config);
-        sim.set_all(|_| Box::new(Scatter { rounds: 4 }));
-        sim.run().expect("scatter terminates")
-    };
-    let serial = run(0);
-    assert!(
-        serial.aggregate.is_some(),
-        "aggregation must produce a report"
-    );
-    for workers in [1u32, 2, 4, 8] {
-        assert_eq!(
-            serial,
-            run(workers),
-            "aggregate diverged at {workers} workers"
-        );
-    }
-}
-
-/// Worker counts above the lane count clamp harmlessly, and the vitals
-/// report the clamped worker count plus per-lane wall times.
-#[test]
-fn worker_vitals_report_parallel_shape() {
+fn capacity_relaxed_vitals_flag_only_capped_lane_runs() {
     let m = LogP::new(6, 2, 4, 8).unwrap();
-    let r = run_optimal_broadcast(&m, SimConfig::default().with_shards(4).with_workers(16));
-    let v = &r.result.vitals;
+    let capped = SimConfig::default();
+    assert!(capped.enforce_capacity, "capacity is enforced by default");
+    let uncapped = SimConfig {
+        enforce_capacity: false,
+        ..SimConfig::default()
+    };
+
+    let lanes = run_optimal_broadcast(&m, capped.clone().with_shards(4)).result;
+    let v = &lanes.vitals;
     assert_eq!(v.engine, "sharded");
-    assert_eq!(v.workers, 4, "workers clamp to the lane count");
-    assert_eq!(v.lane_wall_ns.len() as u32, v.lanes);
-    let serial = run_optimal_broadcast(&m, SimConfig::default().with_shards(4));
-    let vs = &serial.result.vitals;
-    assert_eq!(vs.workers, 0, "serial sharded runs report zero workers");
-    assert!(vs.lane_wall_ns.is_empty());
+    assert_eq!(v.capacity_relaxed, 1);
+    assert_eq!(v.lanes, 4);
+    assert_eq!(v.lane_events.len() as u32, v.lanes);
+    assert_eq!(v.lane_events.iter().sum::<u64>(), v.events);
+
+    let classic = run_optimal_broadcast(&m, capped).result;
+    assert_eq!(classic.vitals.engine, "classic");
+    assert_eq!(classic.vitals.capacity_relaxed, 0);
+
+    let free = run_optimal_broadcast(&m, uncapped.with_shards(4)).result;
+    assert_eq!(free.vitals.engine, "sharded");
+    assert_eq!(free.vitals.capacity_relaxed, 0);
 }
 
 /// The million-processor target: broadcast and all-reduce at `P = 1M`
